@@ -172,6 +172,11 @@ pub struct Podem {
     queued: Vec<u32>,
     /// Current stamp generation.
     stamp: u32,
+    /// Fanin-cone membership stamps of the current justify search: a
+    /// node is in the site's cone iff `cone[node] == cone_stamp`.
+    cone: Vec<u32>,
+    /// Stamp generation of the current justify search's cone.
+    cone_stamp: u32,
     rng: Option<StdRng>,
     metrics: PodemMetrics,
     /// Run-level budget (deadline + cancellation) shared with the
@@ -231,6 +236,8 @@ impl Podem {
             pi_pos_of,
             queued: vec![0; n],
             stamp: 0,
+            cone: vec![0; n],
+            cone_stamp: 0,
             rng: config.random_seed.map(StdRng::seed_from_u64),
             metrics: PodemMetrics::from_global(),
             run_budget: RunBudget::unlimited(),
@@ -300,6 +307,9 @@ impl Podem {
 
     fn search(&mut self, fault: Fault, backtracks: &mut usize) -> TestResult {
         self.reset();
+        if self.config.mode == PodemMode::Justify {
+            self.mark_fanin_cone(fault.node());
+        }
         let mut decisions: Vec<Decision> = Vec::new();
         let mut ticker = self.search_ticker();
         // Cancellation is checked up front: short searches may finish
@@ -364,6 +374,23 @@ impl Podem {
         self.good.fill(Tri::X);
         self.faulty.fill(Tri::X);
         self.pi_values.fill(Tri::X);
+    }
+
+    /// Stamps the transitive fanin cone of `site` (the site included).
+    /// Justify mode reads values only there, so [`Podem::assign`] stops
+    /// implication at the cone's boundary.
+    fn mark_fanin_cone(&mut self, site: NodeId) {
+        let stamp = next_stamp(&mut self.cone, &mut self.cone_stamp);
+        self.cone[site.index()] = stamp;
+        let mut stack = vec![site];
+        while let Some(id) = stack.pop() {
+            for &f in self.nl.node(id).fanins() {
+                if self.cone[f.index()] != stamp {
+                    self.cone[f.index()] = stamp;
+                    stack.push(f);
+                }
+            }
+        }
     }
 
     fn success(&self, fault: Fault) -> bool {
@@ -544,7 +571,9 @@ impl Podem {
 
     /// Assigns one PI and event-drives the change through its fan-out
     /// cone: only nodes whose value actually changes are revisited, in
-    /// topological order (a min-heap keyed by topo position).
+    /// topological order (a min-heap keyed by topo position). In justify
+    /// mode the walk stays inside the site's fanin cone (see
+    /// [`Podem::mark_fanin_cone`]): nothing outside it is ever read.
     fn assign(&mut self, pi_pos: usize, value: Tri, fault: Fault, ticker: &mut BudgetTicker) {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
@@ -558,8 +587,7 @@ impl Podem {
         }
 
         let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-        self.stamp = self.stamp.wrapping_add(1);
-        let stamp = self.stamp;
+        let stamp = next_stamp(&mut self.queued, &mut self.stamp);
         let push = |heap: &mut BinaryHeap<Reverse<(u32, u32)>>,
                     queued: &mut [u32],
                     topo_pos: &[u32],
@@ -611,8 +639,9 @@ impl Podem {
                 self.faulty[id.index()] = new_faulty;
             }
             if changed {
+                // `new` rejects DFFs, so every fanout is a gate.
                 for &f in node.fanouts() {
-                    if self.nl.node(f).kind() != NodeKind::Dff {
+                    if detect || self.cone[f.index()] == self.cone_stamp {
                         push(&mut heap, &mut queued, &self.topo_pos, f);
                     }
                 }
@@ -621,6 +650,17 @@ impl Podem {
         self.queued = queued;
         self.metrics.implications.add(evaluated);
     }
+}
+
+/// Advances a stamp generation and returns it. On wrap-around the stamps
+/// are cleared, so a stale stamp can never equal the new generation.
+fn next_stamp(stamps: &mut [u32], generation: &mut u32) -> u32 {
+    *generation = generation.wrapping_add(1);
+    if *generation == 0 {
+        stamps.fill(0);
+        *generation = 1;
+    }
+    *generation
 }
 
 #[cfg(test)]

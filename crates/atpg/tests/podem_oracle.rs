@@ -204,3 +204,39 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A justify engine carries nothing from one search into the next:
+    /// after it has searched every other node's rare event, a fault's
+    /// result equals that of a fresh engine. This guards the per-search
+    /// fanin-cone stamps against leaking stale values between searches.
+    #[test]
+    fn justify_engine_reuse_matches_fresh_engine(
+        num_inputs in 2usize..6,
+        script in proptest::collection::vec(any::<u8>(), 9..45),
+        randomized in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let nl = build_random_netlist(num_inputs, &script);
+        let config = PodemConfig {
+            random_seed: randomized.then_some(seed),
+            ..PodemConfig::justify()
+        };
+        let faults: Vec<Fault> = nl
+            .node_ids()
+            .flat_map(|id| [Fault::for_rare_event(id, false), Fault::for_rare_event(id, true)])
+            .collect();
+        let mut warmed = Podem::new(&nl, config).expect("valid");
+        for &fault in &faults {
+            for &other in faults.iter().filter(|g| g.node() != fault.node()) {
+                warmed.generate(other);
+            }
+            warmed.reseed(1);
+            let mut fresh = Podem::new(&nl, config).expect("valid");
+            fresh.reseed(1);
+            prop_assert_eq!(warmed.generate(fault), fresh.generate(fault), "{}", fault);
+        }
+    }
+}

@@ -67,6 +67,16 @@ fn extrapolate(elapsed: Duration, produced: usize) -> (String, f64) {
     }
 }
 
+/// A speed-up ratio for the table: one decimal below 10 so a loss reads
+/// `0.6x` rather than rounding to `0x`, whole numbers above.
+fn ratio(r: f64) -> String {
+    if r < 10.0 {
+        format!("{r:.1}x")
+    } else {
+        format!("{r:.0}x")
+    }
+}
+
 fn secs(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
 }
@@ -205,8 +215,8 @@ fn run_circuit(name: &str, p: &Params) -> Result<Json, String> {
         rl_tt,
         q_prop.to_string(),
         prop_tt,
-        format!("{:.0}x", rand_min / prop_min.max(1e-9)),
-        format!("{:.0}x", rl_min / prop_min.max(1e-9)),
+        ratio(rand_min / prop_min.max(1e-9)),
+        ratio(rl_min / prop_min.max(1e-9)),
     ];
     Ok(Json::obj(vec![
         ("row", str_row(&row)),
@@ -373,5 +383,18 @@ fn main() {
     println!("framework (paper: avg 53 736 / 1 406 / 1.42 min; 37 816x, 989x).");
     if !failures.is_empty() {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ratio;
+
+    #[test]
+    fn ratios_keep_a_decimal_below_ten() {
+        assert_eq!(ratio(0.6), "0.6x");
+        assert_eq!(ratio(1.42), "1.4x");
+        assert_eq!(ratio(19.3), "19x");
+        assert_eq!(ratio(37_816.0), "37816x");
     }
 }

@@ -8,6 +8,8 @@
 //! merged vector drives to their rare values simultaneously — the trojan
 //! insertion points.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use htforge_atpg::{Cube, Fault, Podem, PodemConfig, PodemMode, TestResult};
 use htforge_netlist::{netlist::NodeId, Netlist, NetlistError};
 use htforge_obs::{BudgetTicker, DegradationNote, RunBudget};
@@ -185,76 +187,64 @@ impl CompatGraph {
             rare.iter().map(|r| (r.node, r.rare_value)).collect();
         let mut notes = Vec::new();
 
-        // Phase A: one cube per rare event (parallel over faults). Each
-        // worker checks the budget before starting a fault; expired
-        // budgets skip the remaining faults (a skip is distinguishable
-        // from a PODEM drop so it can be reported).
+        // Phase A: one cube per rare event. Workers pull the next event
+        // index from one shared counter, so slow (untestable or aborted)
+        // events spread over all workers instead of stalling whichever
+        // worker's share they cluster in; results land in per-index
+        // slots and `cube_for` reseeds per index, so the graph does not
+        // depend on the worker count. Each worker checks the budget
+        // before starting a fault; expired budgets skip the remaining
+        // faults (a skip is distinguishable from a PODEM drop so it can
+        // be reported).
         let podem_span = htforge_obs::span("podem");
-        let chunk_size = rare_list.len().div_ceil(threads).max(1);
-        let mut cube_results: Vec<Option<Cube>> = Vec::new();
-        let mut skipped = 0usize;
-        if threads == 1 || rare_list.len() <= 1 {
-            let mut worker = CubeWorker::new(nl, podem_config)?;
-            worker.set_run_budget(budget);
-            for (i, &(node, value)) in rare_list.iter().enumerate() {
-                if budget.check().is_err() {
-                    skipped += 1;
-                    cube_results.push(None);
+        // Engine construction is fallible; build them up front so errors
+        // surface before any thread spawns.
+        let mut workers: Vec<CubeWorker> = (0..threads.min(rare_list.len()).max(1))
+            .map(|_| {
+                CubeWorker::new(nl, podem_config).map(|mut w| {
+                    w.set_run_budget(budget);
+                    w
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        let next = AtomicUsize::new(0);
+        let skipped = AtomicUsize::new(0);
+        let drain = |worker: &mut CubeWorker| {
+            let mut out = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&(node, value)) = rare_list.get(i) else {
+                    return out;
+                };
+                let cube = if budget.check().is_err() {
+                    skipped.fetch_add(1, Ordering::Relaxed);
+                    None
                 } else {
-                    cube_results.push(worker.cube_for(i, node, value));
+                    worker.cube_for(i, node, value)
+                };
+                out.push((i, cube));
+            }
+        };
+        let mut cube_results: Vec<Option<Cube>> = vec![None; rare_list.len()];
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = workers
+                .iter_mut()
+                .map(|worker| scope.spawn(|| drain(worker)))
+                .collect();
+            for h in handles {
+                match h.join() {
+                    Ok(part) => {
+                        for (i, cube) in part {
+                            cube_results[i] = cube;
+                        }
+                    }
+                    // Re-raise with the original payload so campaign-level
+                    // isolation reports the real panic message.
+                    Err(payload) => std::panic::resume_unwind(payload),
                 }
             }
-        } else {
-            // Engine construction is fallible; build them up front so
-            // errors surface before any thread spawns.
-            let mut workers: Vec<CubeWorker> = (0..threads.min(rare_list.len()))
-                .map(|_| {
-                    CubeWorker::new(nl, podem_config).map(|mut w| {
-                        w.set_run_budget(budget);
-                        w
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            let chunks: Vec<(usize, &[(htforge_netlist::netlist::NodeId, bool)])> = rare_list
-                .chunks(chunk_size)
-                .enumerate()
-                .map(|(k, c)| (k * chunk_size, c))
-                .collect();
-            let results: Vec<(Vec<Option<Cube>>, usize)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .zip(workers.iter_mut())
-                    .map(|((base, chunk), worker)| {
-                        scope.spawn(move || {
-                            let mut out = Vec::with_capacity(chunk.len());
-                            let mut skipped = 0usize;
-                            for (off, &(node, value)) in chunk.iter().enumerate() {
-                                if budget.check().is_err() {
-                                    skipped += 1;
-                                    out.push(None);
-                                } else {
-                                    out.push(worker.cube_for(base + off, node, value));
-                                }
-                            }
-                            (out, skipped)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(part) => part,
-                        // Re-raise with the original payload so campaign-level
-                        // isolation reports the real panic message.
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect()
-            });
-            for (part, part_skipped) in results {
-                cube_results.extend(part);
-                skipped += part_skipped;
-            }
-        }
+        });
+        let skipped = skipped.into_inner();
 
         let mut events = Vec::new();
         let mut dropped = 0usize;

@@ -8,9 +8,9 @@
 //! HTFORGE_OBS=jsonl cargo run --release --example quickstart  # event stream
 //! ```
 //!
-//! Always writes a `results/report_<circuit>.json` run report (schema
-//! `htforge.run_report/v1`, see `DESIGN.md` §8) with the per-phase spans
-//! and PODEM search counters of the run.
+//! Always writes a `results/report_quickstart_<circuit>.json` run report
+//! (schema `htforge.run_report/v1`, see `DESIGN.md` §8) with the
+//! per-phase spans and PODEM search counters of the run.
 
 use std::error::Error;
 use std::fs;
@@ -93,7 +93,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         .with_meta("circuit", Json::Str(circuit.clone()))
         .with_meta("trigger_nodes", Json::Num(q as f64))
         .with_meta("instances", Json::Num(n as f64));
-    let report_path = std::path::PathBuf::from(format!("results/report_{circuit}.json"));
+    let report_path = std::path::PathBuf::from(format!("results/report_quickstart_{circuit}.json"));
     report.write_to(&report_path)?;
     println!("wrote run report {}", report_path.display());
     Ok(())
